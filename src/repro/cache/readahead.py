@@ -48,6 +48,11 @@ class ReadaheadClusterer:
         self._pending: Optional[DiskRequest] = None
         self._last_time = float("-inf")
 
+    @property
+    def pending(self) -> Optional[DiskRequest]:
+        """The in-flight request that later misses may still extend."""
+        return self._pending
+
     def add(self, time_s: float, page: int) -> Optional[DiskRequest]:
         """Add one page miss; return a completed request if one closed."""
         if time_s < self._last_time:

@@ -17,7 +17,6 @@ stream.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional
 
@@ -46,17 +45,19 @@ FLUSH_INTERVAL_S = 30.0
 
 
 class _ReplayState:
-    """Mutable per-run bookkeeping shared by the scalar loop, the
-    vectorized kernels and the event drainer.
+    """Mutable per-run bookkeeping of the replay core.
 
-    Everything the original closure-based loop kept in ``nonlocal``
-    variables lives here, so both replay paths mutate one place and the
-    post-loop tail reads one place.
+    The span bodies (:mod:`repro.sim.kernels`), the event drainer and the
+    post-loop tail all read and mutate this one place, whichever driver
+    -- an offline run or a stream -- feeds the accesses.
     """
 
     __slots__ = (
         "metrics",
         "clusterer",
+        "mode",
+        "batch_misses",
+        "resident",
         "has_writes",
         "duration_s",
         "warmup_s",
@@ -161,9 +162,7 @@ class SimulationEngine:
         is eligible (:func:`repro.sim.kernels.fast_path_reason`); results
         are bit-identical either way.
         """
-        machine = self.machine
-        manager_cfg = machine.manager
-        period = manager_cfg.period_s
+        period = self.machine.manager.period_s
         if duration_s is None:
             periods = max(int(np.ceil(trace.duration_s / period)), 1)
             duration_s = periods * period
@@ -181,21 +180,37 @@ class SimulationEngine:
                 "memory system and joint manager disagree on the initial size"
             )
 
+        has_writes = kernels.trace_has_writes(trace)
+        depths = kernels.profile_depths(trace, profile)
+        mode, _ = kernels.select_mode(self, has_writes, depths is not None)
+        st = self._begin_run(duration_s, warmup_s, has_writes, mode)
+        # The scalar loop's `now >= duration_s` cutoff.
+        n = int(np.searchsorted(trace.times, duration_s, side="left"))
+        kernels.replay(self, st, trace.times, trace.pages, trace.writes, depths, 0, n)
+        return self._finish_run(st, mode)
+
+    # --- the run's set-up and tail ------------------------------------------
+
+    def _begin_run(
+        self, duration_s: float, warmup_s: float, has_writes: bool, mode: str
+    ) -> _ReplayState:
+        """Arm the disk timeout and return fresh replay state.
+
+        A stream passes ``duration_s=math.inf`` and pins the duration
+        down when it closes.
+        """
+        period = self.machine.manager.period_s
         disk = self.disk
         memory = self.memory
-        manager = self.manager
         disk.set_timeout(0.0, self._initial_timeout())
-
         st = _ReplayState()
-        st.metrics = MetricsCollector(
-            period_s=period,
-            long_latency_threshold_s=manager_cfg.long_latency_threshold_s,
-            aggregation_window_s=manager_cfg.aggregation_window_s,
-        )
+        st.metrics = self._new_metrics(0.0)
         st.clusterer = ReadaheadClusterer(
             merge_window_s=SEQUENTIAL_MERGE_WINDOW_S
         )
-        st.has_writes = trace.writes is not None and bool(trace.writes.any())
+        st.mode = mode
+        st.batch_misses = kernels.batches_misses(self, mode)
+        st.has_writes = has_writes
         st.duration_s = duration_s
         st.warmup_s = warmup_s
         st.period_s = period
@@ -205,26 +220,32 @@ class SimulationEngine:
         st.last_miss_page = -2
         st.last_miss_time = -np.inf
         st.current_timeout = disk.timeout_s
+        st.resident = len(memory.cache)
         st.mem_mark = memory.energy.snapshot() if warmup_s == 0 else None
         st.disk_mark = disk.energy.snapshot() if warmup_s == 0 else None
+        return st
 
-        mode, _ = kernels.select_mode(self, trace, profile)
-        self.last_replay_mode = mode
-        if mode == kernels.MODE_VECTORIZED:
-            kernels.replay_vectorized(self, st, trace, profile, duration_s)
-        elif mode == kernels.MODE_MISSRUN:
-            kernels.replay_missrun(self, st, trace, profile, duration_s)
-        elif mode == kernels.MODE_EPOCH:
-            kernels.replay_epoch(self, st, trace, profile, duration_s)
-        elif mode == kernels.MODE_WRITES:
-            kernels.replay_writes(self, st, trace, profile, duration_s)
-        elif mode == kernels.MODE_DISABLE:
-            kernels.replay_disable(self, st, trace, duration_s)
-        else:
-            self._replay_scalar(st, trace, duration_s)
+    def _finish_run(
+        self, st: _ReplayState, replay_mode: str, final_request=None
+    ) -> SimResult:
+        """Run the post-loop tail at ``st.duration_s``; build the result.
 
+        ``final_request`` is the ``(collector, period)`` pair that counts
+        the request of a read-ahead cluster still open after the last
+        access.  None counts it in the live period, which is right when
+        no event has fired since that access.
+        """
+        memory = self.memory
+        disk = self.disk
+        manager = self.manager
+        duration_s = st.duration_s
         if st.clusterer.flush() is not None:
-            st.metrics.on_request()
+            collector, period = final_request or (
+                st.metrics,
+                st.metrics.current_period,
+            )
+            collector.total_disk_requests += 1
+            period.disk_requests += 1
 
         # Fire the trailing events (flushes and periods in the idle tail).
         self._drain_events(st, duration_s)
@@ -256,13 +277,14 @@ class SimulationEngine:
             raise SimulationError("warm-up window never closed")
         memory_energy = memory.energy.minus(st.mem_mark)
         disk_energy = disk.energy.minus(st.disk_mark)
-        observed_s = duration_s - warmup_s
+        observed_s = duration_s - st.warmup_s
+        self.last_replay_mode = replay_mode
 
         return SimResult(
             label=self.label,
             duration_s=observed_s,
             memory_energy_j=memory_energy.total_j,
-            disk_energy_j=disk_energy.total_joules(machine.disk),
+            disk_energy_j=disk_energy.total_joules(self.machine.disk),
             memory_energy=memory_energy,
             disk_energy=disk_energy,
             total_accesses=metrics.total_accesses,
@@ -276,60 +298,10 @@ class SimulationEngine:
             utilization=disk_energy.utilization(observed_s),
             periods=metrics.periods,
             decisions=list(manager.decisions) if manager is not None else [],
-            replay_mode=self.last_replay_mode,
+            replay_mode=replay_mode,
         )
 
-    # --- replay loops -----------------------------------------------------------
-
-    def _replay_scalar(
-        self, st: _ReplayState, trace: Trace, duration_s: float
-    ) -> None:
-        """The per-access reference loop (joint write-back runs,
-        profile-less replays, and the ``REPRO_KERNELS=0`` kill switch)."""
-        memory = self.memory
-        manager = self.manager
-        has_writes = st.has_writes
-        drain_events = self._drain_events
-        serve_miss = self._serve_miss
-
-        times = trace.times.tolist()
-        pages = trace.pages.tolist()
-        # Write-free traces (the common case) iterate a constant instead
-        # of materializing a [False] * n list or a tolist() copy.
-        writes = (
-            trace.writes.tolist() if has_writes else itertools.repeat(False)
-        )
-
-        for now, page, is_write in zip(times, pages, writes):
-            if now >= duration_s:
-                break
-            drain_events(st, now)
-
-            if manager is not None:
-                manager.record_access(now, page)
-
-            if has_writes:
-                hit = memory.access_rw(now, page, is_write)
-                pending = memory.take_pending_flushes()
-                if pending:
-                    st.last_flush_page = self._flush(
-                        now, pending, st.metrics, st.last_flush_page
-                    )
-                if is_write:
-                    # Write-back: the cache absorbs the write (allocate
-                    # without fetch on a miss) -- no disk read, no
-                    # user-visible disk latency.
-                    if hit:
-                        st.metrics.on_hit(now)
-                    else:
-                        st.metrics.on_write(now)
-                    continue
-            else:
-                hit = memory.access(now, page)
-            if hit:
-                st.metrics.on_hit(now)
-                continue
-            serve_miss(st, now, page)
+    # --- per-access paths ---------------------------------------------------
 
     def _serve_miss(self, st: _ReplayState, now: float, page: int) -> None:
         """One disk page access: pricing, metrics, policy callbacks."""
@@ -381,23 +353,28 @@ class SimulationEngine:
                 st.current_timeout = self._handle_boundary(
                     st.next_boundary, st.metrics, st.current_timeout
                 )
+                # The epoch body's resident count sees a down-resize.
+                st.resident = min(st.resident, self.memory.capacity_pages)
                 if st.mem_mark is None and st.next_boundary >= st.warmup_s - 1e-9:
                     st.metrics, st.mem_mark, st.disk_mark = (
                         self._begin_measurement(st.next_boundary)
                     )
                 st.next_boundary += st.period_s
 
-    def _begin_measurement(self, at_s: float):
-        """Close the warm-up window: snapshot energies, fresh metrics."""
+    def _new_metrics(self, start_s: float) -> MetricsCollector:
         manager_cfg = self.machine.manager
-        self.memory.checkpoint(at_s)
-        self.disk.checkpoint(at_s)
-        metrics = MetricsCollector(
+        return MetricsCollector(
             period_s=manager_cfg.period_s,
             long_latency_threshold_s=manager_cfg.long_latency_threshold_s,
             aggregation_window_s=manager_cfg.aggregation_window_s,
-            start_s=at_s,
+            start_s=start_s,
         )
+
+    def _begin_measurement(self, at_s: float):
+        """Close the warm-up window: snapshot energies, fresh metrics."""
+        self.memory.checkpoint(at_s)
+        self.disk.checkpoint(at_s)
+        metrics = self._new_metrics(at_s)
         return metrics, self.memory.energy.snapshot(), self.disk.energy.snapshot()
 
     def _flush(

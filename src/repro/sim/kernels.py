@@ -1,26 +1,48 @@
-"""Vectorized replay kernels: segment-at-a-time trace consumption.
+"""The replay core: one epoch walk, one span dispatcher, six span bodies.
 
-The scalar engine loop dispatches one Python call chain per access.  On
-the dominant workload shapes the outcome of every access is already
-known before the replay starts: a
-:class:`repro.cache.profile.TraceProfile` gives each access's stack
-distance, and the LRU inclusion property turns distances into hits.
-These kernels exploit that to replay *runs of consecutive hits as single
-segments*: numpy locates the misses and the period boundaries, and
-everything between two such events collapses into two integer additions
-(metrics) plus one batched energy charge.  Misses, period boundaries,
-policy callbacks and disk accounting still run through the exact scalar
-code paths (:meth:`SimulationEngine._serve_miss` / ``_drain_events``),
-in the exact same order and with the exact same floating-point
-operations, so a fast replay is bit-identical to the scalar loop -- the
-differential ``kernels``/``epoch`` checks and ``tests/sim/test_kernels.py``
-assert as much.
+Two drivers replay accesses through this module.
+:meth:`SimulationEngine.run` hands over a whole trace at once, with the
+stack depths of its :class:`repro.cache.profile.TraceProfile`;
+:class:`repro.service.streaming.StreamingManager` hands over an
+incremental stream span by span, with the depths of its incremental
+Mattson tracker.  An offline run is a stream whose trace arrives in one
+batch, so both drivers share every piece of the replay:
 
-Five fast modes exist:
+* :func:`select_mode` picks the replay mode from the engine, whether the
+  input carries writes, and whether per-access depths exist;
+* the engine's ``_begin_run`` and ``_finish_run`` set up the mutable
+  replay state and run the post-loop tail into a ``SimResult``;
+* :func:`replay` walks accesses ``[lo, hi)`` epoch by epoch: each span
+  below the next period boundary replays through :func:`replay_span`,
+  and the boundary itself fires on its own through the scalar
+  ``_drain_events`` -- only once an access at or past it remains, so
+  every resize and timeout change is observed before the next epoch is
+  classified;
+* :func:`replay_span` replays one span that no period boundary
+  interrupts through the body of the run's mode.
+
+The streaming driver adds only what a stream needs on top: buffering,
+the rule for when an epoch is proven complete, and the tracker.
+
+The scalar body dispatches one Python call chain per access and is the
+reference every fast body must match.  The fast bodies exploit that the
+outcome of every access is known before it is replayed: the depths and
+the LRU inclusion property decide hit or miss (``0 <= depth <
+capacity``), so *runs of consecutive hits replay as single segments* --
+two integer additions (metrics) plus one batched energy charge.  Misses,
+boundaries, flushes, policy callbacks and disk accounting run through
+the exact scalar code paths (:meth:`SimulationEngine._serve_miss` /
+``_drain_events``) in the same order with the same floating-point
+operations, so a fast replay is bit-identical to the scalar one -- the
+``kernels``, ``missrun``, ``writes``, ``epoch`` and ``stream`` checks and
+``tests/sim/test_kernels.py`` assert as much.
+
+The modes:
 
 * ``"vectorized"`` -- fixed-capacity read-only runs (no joint manager)
   under a memory system that opted into profiled replay (nap,
-  power-down): one ``hit_mask`` call decides every access up front.
+  power-down): the depths decide every access, misses replay one at a
+  time through the scalar ``_serve_miss``.
 * ``"missrun"`` -- the vectorized mode plus *batched misses*: when the
   disk policy is request-blind (it overrides neither ``on_request`` nor
   ``on_idle_start``, so the timeout can only change at period
@@ -30,53 +52,51 @@ Five fast modes exist:
   the scalar loop's exact float64 operation order -- with the
   sequential-merge flags resolved by one vectorized compare, the
   clusterer advanced by :meth:`ReadaheadClusterer.add_run`, and metrics
-  by :meth:`MetricsCollector.on_miss_run`.  Miss runs split at period
-  boundaries exactly like hit runs, so every boundary still fires
-  one at a time through the scalar ``_drain_events``.
+  by :meth:`MetricsCollector.on_miss_run`.
 * ``"epoch"`` -- joint-manager runs.  Between two period boundaries the
-  cache capacity is fixed, so the replay walks the trace *epoch by
-  epoch*: each epoch's ``(times, depths)`` slice feeds the manager's
-  per-period log as one batch (:meth:`JointPowerManager.record_profiled`
-  -- the profile already holds exactly the depths the manager's own
-  tracker would have computed), hits collapse into segments at the
-  epoch's capacity, and every boundary fires one at a time through
-  ``_drain_events`` so each resize is observed before the next epoch is
-  classified.  Because the joint manager may resize *up*, the cache is
-  not always full; the kernel tracks the resident-page count ``r``
-  analytically (hit iff ``0 <= depth < r``; each miss grows ``r`` to
-  capacity; a down-resize clamps it), which is exactly the LRU stack's
-  inclusion behaviour.
+  cache capacity is fixed, so each epoch's ``(times, depths)`` slice
+  feeds the manager's per-period log as one batch
+  (:meth:`JointPowerManager.record_profiled` -- the depths are exactly
+  what the manager's own tracker would compute) and hits collapse into
+  segments at the epoch's capacity.  Because the joint manager may
+  resize *up*, the cache is not always full; the body tracks the
+  resident-page count ``r`` analytically (hit iff ``0 <= depth < r``;
+  each miss grows ``r`` to capacity; a down-resize clamps it), which is
+  exactly the LRU stack's inclusion behaviour.  The manager only moves
+  the timeout at boundaries, so miss runs batch exactly as in
+  ``"missrun"`` whenever the drive qualifies -- offline and streaming
+  alike.
 * ``"writes"`` -- fixed-capacity *write-carrying* runs under a
   profiled-replay memory.  Write-back is write-allocate, so the LRU
-  evolves exactly as in a read-only replay and the profile's hit mask
-  stays valid; hit runs keep the live cache and dirty set in sync
-  through :meth:`MemorySystem.consume_hit_run_rw` (hits never evict, so
-  no flush can arise inside a run), and every miss, periodic flush
-  sweep and dirty eviction runs through the exact scalar
+  evolves exactly as in a read-only replay and the depths stay valid;
+  hit runs keep the live cache and dirty set in sync through
+  :meth:`MemorySystem.consume_hit_run_rw` (hits never evict, so no flush
+  can arise inside a run), and every miss, periodic flush sweep and
+  dirty eviction runs through the exact scalar
   ``access_rw``/``_flush``/``_drain_events`` path.
 * ``"disable"`` -- the disable-state (2TDS) model on fixed-capacity
-  read-only runs.  Bank invalidations make the stack-distance profile
-  unusable (true reuse depths shrink when banks drop their pages), so
-  this mode needs *no profile*: the live ``_page_bank`` map is the
-  residency oracle, and :meth:`DisableMemorySystem.consume_hit_run`
-  consumes maximal pure-hit prefixes in a tight loop, falling back to
-  the scalar ``access`` at every miss/invalidation/resurrection.
+  read-only runs.  Bank invalidations make stack depths unusable (true
+  reuse depths shrink when banks drop their pages), so this mode needs
+  *no depths*: the live ``_page_bank`` map is the residency oracle, and
+  :meth:`DisableMemorySystem.consume_hit_run` consumes maximal pure-hit
+  prefixes in a tight loop, falling back to the scalar ``access`` at
+  every miss/invalidation/resurrection.
+* ``"scalar"`` -- the per-access reference loop.
 
-Fallback conditions (any one routes the run through the scalar loop):
+Fallback conditions (any one selects ``"scalar"``):
 
 * the ``$REPRO_KERNELS`` kill switch is set;
 * the memory system did not opt into profiled replay
   (:data:`MemorySystem.profiled_replay`) and is not the disable model;
 * a joint run under anything but the nap model (only nap is resizable);
-* a joint run whose trace carries writes (flushes interleave with
-  resizes under the live manager);
-* a disable-model run whose trace carries writes (invalidation spills
+* a joint run that carries writes (flushes interleave with resizes
+  under the live manager);
+* a disable-model run that carries writes (invalidation spills
   interleave with the flush cadence);
-* no profile was supplied, or it does not cover the trace (except the
-  disable mode, which replays from live bank state alone).
+* no per-access depths (offline: no profile covering the trace), except
+  for the disable mode, which replays from live bank state alone.
 
-Additional conditions demote ``"missrun"`` to plain ``"vectorized"``
-(misses one at a time through the scalar ``_serve_miss``):
+Additional conditions demote ``"missrun"`` to plain ``"vectorized"``:
 
 * the disk policy overrides ``on_request`` or ``on_idle_start`` (it may
   change the timeout mid-run, which the batched recurrence assumes
@@ -85,16 +105,11 @@ Additional conditions demote ``"missrun"`` to plain ``"vectorized"``
 * the drive instance carries a ``submit``/``submit_run`` attribute
   override (e.g. the runner's miss-time recorder), which the batch path
   would bypass.
-
-Joint-manager (``"epoch"``) replays batch their misses the same way
-when the drive qualifies -- the manager only moves the timeout at
-period boundaries, so every epoch-interior miss run is timeout-free by
-construction -- without changing the reported mode name.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -116,6 +131,9 @@ MODE_MISSRUN = "missrun"
 MODE_EPOCH = "epoch"
 MODE_WRITES = "writes"
 MODE_DISABLE = "disable"
+
+#: The modes whose span bodies classify accesses from per-access depths.
+DEPTH_MODES = frozenset((MODE_VECTORIZED, MODE_MISSRUN, MODE_EPOCH, MODE_WRITES))
 
 
 def _policy_is_request_blind(policy) -> bool:
@@ -153,19 +171,20 @@ def _batchable_disk(disk) -> bool:
 
 
 def select_mode(
-    engine, trace, profile: Optional[TraceProfile]
+    engine, has_writes: bool, has_depths: bool
 ) -> Tuple[str, Optional[str]]:
-    """Pick the replay mode for this run.
+    """Pick the replay mode for ``engine``'s next run.
 
-    Returns ``(mode, reason)``: ``reason`` explains a scalar fallback and
-    is None when a fast mode applies.
+    ``has_writes`` says whether the input carries writes, ``has_depths``
+    whether per-access stack depths are available.  Returns ``(mode,
+    reason)``: ``reason`` explains a scalar fallback and is None when a
+    fast mode applies.
     """
     if not kernels_enabled():
         return MODE_SCALAR, "the $REPRO_KERNELS kill switch disables the fast paths"
-    has_writes = trace.writes is not None and bool(trace.writes.any())
     memory = engine.memory
     if engine.manager is None and type(memory) is DisableMemorySystem:
-        # The disable mode replays from live bank state: no profile needed.
+        # The disable mode replays from live bank state: no depths needed.
         if has_writes:
             return (
                 MODE_SCALAR,
@@ -173,10 +192,8 @@ def select_mode(
                 "needs the live scalar loop",
             )
         return MODE_DISABLE, None
-    if profile is None:
-        return MODE_SCALAR, "no trace profile supplied"
-    if len(profile) != trace.num_accesses:
-        return MODE_SCALAR, "profile does not cover the trace"
+    if not has_depths:
+        return MODE_SCALAR, "no per-access stack depths (no profile covers the trace)"
     if engine.manager is not None:
         if has_writes:
             return (
@@ -204,67 +221,136 @@ def select_mode(
     return MODE_VECTORIZED, None
 
 
+def batches_misses(engine, mode: str) -> bool:
+    """True when ``mode`` serves miss runs through ``SimDisk.submit_run``.
+
+    Nothing may move the disk timeout between two boundaries:
+    ``"missrun"`` eligibility guarantees it, and the joint manager
+    (``"epoch"``) only acts at boundaries, so its runs batch whenever the
+    drive qualifies.
+    """
+    return mode == MODE_MISSRUN or (
+        mode == MODE_EPOCH and _batchable_disk(engine.disk)
+    )
+
+
+def trace_has_writes(trace) -> bool:
+    return trace.writes is not None and bool(trace.writes.any())
+
+
+def profile_depths(trace, profile: Optional[TraceProfile]) -> Optional[np.ndarray]:
+    """``profile``'s per-access depths when it covers ``trace``, else None."""
+    if profile is None or len(profile) != trace.num_accesses:
+        return None
+    return profile.depths
+
+
 def fast_path_reason(engine, trace, profile: Optional[TraceProfile]) -> Optional[str]:
     """Why this run cannot take a fast path (None = it can)."""
-    return select_mode(engine, trace, profile)[1]
+    has_depths = profile_depths(trace, profile) is not None
+    return select_mode(engine, trace_has_writes(trace), has_depths)[1]
 
 
-def replay_vectorized(engine, st, trace, profile: TraceProfile, duration_s: float) -> None:
-    """Drive one fixed-capacity replay through the segmented fast path.
+# --- the walk and the dispatcher ------------------------------------------
 
-    ``st`` is the engine's mutable :class:`_ReplayState`; events and
-    misses go through the same engine methods the scalar loop uses.
+
+def replay(engine, st, times, pages, writes, depths, lo: int, hi: int) -> None:
+    """Replay accesses ``[lo, hi)`` epoch by epoch.
+
+    ``times``/``pages``/``writes``/``depths`` are the driver's arrays,
+    sorted by time over ``[0, hi)``; ``writes`` may be None for
+    read-only input and ``depths`` None for modes that need none.  An
+    access exactly at a boundary belongs to the next epoch: the scalar
+    loop drains events before recording it.  A boundary fires only when
+    an access at or past it remains; trailing ones are the tail's.
     """
-    times = trace.times
-    pages = trace.pages
-    # Scalar loop: `if now >= duration_s: break` -- keep accesses < duration.
-    n = int(np.searchsorted(times, duration_s, side="left"))
-    hits = profile.hit_mask(engine.memory.capacity_pages, n)
-    miss_indices = np.flatnonzero(~hits)
-
-    memory = engine.memory
     drain = engine._drain_events
-    serve_miss = engine._serve_miss
-    pos = 0
-    for m in miss_indices.tolist():
-        if pos < m:
-            _consume_hits(engine, st, memory, times, pages, pos, m, duration_s)
-        now = float(times[m])
-        page = int(pages[m])
-        drain(st, now)
-        memory.charge_page_access(now, page)
-        serve_miss(st, now, page)
-        pos = m + 1
-    if pos < n:
-        _consume_hits(engine, st, memory, times, pages, pos, n, duration_s)
+    while lo < hi:
+        boundary = st.next_boundary
+        if boundary > st.duration_s:
+            end = hi
+        else:
+            end = lo + int(np.searchsorted(times[lo:hi], boundary, side="left"))
+        if end > lo:
+            replay_span(engine, st, times, pages, writes, depths, lo, end)
+            lo = end
+            if lo >= hi:
+                break
+        drain(st, boundary)
 
 
-def replay_missrun(engine, st, trace, profile: TraceProfile, duration_s: float) -> None:
-    """The vectorized replay with runs of consecutive misses batched.
+def replay_span(engine, st, times, pages, writes, depths, lo: int, hi: int) -> None:
+    """Replay ``[lo, hi)`` through the body of ``st.mode``.
 
-    Hit runs collapse exactly as in :func:`replay_vectorized`; miss runs
-    go through :func:`_serve_missrun_span`, which splits them at period
-    boundaries and serves each boundary-free stretch in one pass through
-    the batched disk/metrics/clusterer recurrences.  Eligibility
-    (:func:`select_mode`) guarantees no timeout can move inside a
-    stretch: the policy is request-blind and the trace carries no
-    writes, so the only interior events are period boundaries.
+    Every fast body requires that no period boundary falls inside the
+    span; the scalar body drains events per access and takes any span.
     """
-    times = trace.times
-    pages = trace.pages
-    n = int(np.searchsorted(times, duration_s, side="left"))
-    hits = profile.hit_mask(engine.memory.capacity_pages, n)
-    miss_indices = np.flatnonzero(~hits)
-
+    mode = st.mode
     memory = engine.memory
-    pos = 0
-    for lo, hi in _miss_runs(miss_indices):
-        if pos < lo:
-            _consume_hits(engine, st, memory, times, pages, pos, lo, duration_s)
-        _serve_missrun_span(engine, st, memory, times, pages, lo, hi, duration_s)
-        pos = hi
-    if pos < n:
-        _consume_hits(engine, st, memory, times, pages, pos, n, duration_s)
+    if mode == MODE_SCALAR:
+        _replay_scalar_span(engine, st, times, pages, writes, lo, hi)
+        return
+    if mode == MODE_DISABLE:
+        _replay_disable_span(engine, st, memory, times, pages, lo, hi)
+        return
+    window = depths[lo:hi]
+    if mode == MODE_EPOCH:
+        # Feed the whole epoch's per-period log in one batch.  The manager
+        # only reads it at end_period, so batching ahead of the misses is
+        # equivalent to the scalar loop's interleaved record_access calls.
+        engine.manager.record_profiled(times[lo:hi], window)
+        misses, st.resident = _epoch_misses(
+            depths, lo, hi, st.resident, memory.capacity_pages
+        )
+    else:
+        # TraceProfile.hit_mask's rule: hit iff 0 <= depth < capacity.
+        capacity = memory.capacity_pages
+        misses = np.flatnonzero((window < 0) | (window >= capacity)) + lo
+    if mode == MODE_WRITES:
+        _replay_writes_span(engine, st, memory, times, pages, writes, misses, lo, hi)
+    else:
+        _replay_read_span(engine, st, memory, times, pages, misses, lo, hi)
+
+
+# --- span bodies -----------------------------------------------------------
+
+
+def _replay_read_span(
+    engine, st, memory, times, pages, misses, lo: int, hi: int
+) -> None:
+    """Replay the read-only span ``[lo, hi)`` given its miss indices.
+
+    Hit runs collapse into segment charges; misses serve one at a time
+    through the scalar ``_serve_miss``, or -- ``st.batch_misses`` -- in
+    runs through :func:`_serve_miss_run`.  A read-only span inside one
+    epoch has no pending event before any of its accesses, so nothing
+    drains here.
+    """
+    pos = lo
+    if st.batch_misses:
+        for run_lo, run_hi in _miss_runs(misses):
+            if pos < run_lo:
+                _consume_hits(st, memory, times, pages, pos, run_lo)
+            _serve_miss_run(engine, st, memory, times, pages, run_lo, run_hi)
+            pos = run_hi
+    else:
+        serve_miss = engine._serve_miss
+        for m in misses.tolist():
+            if pos < m:
+                _consume_hits(st, memory, times, pages, pos, m)
+            now = float(times[m])
+            page = int(pages[m])
+            memory.charge_page_access(now, page)
+            serve_miss(st, now, page)
+            pos = m + 1
+    if pos < hi:
+        _consume_hits(st, memory, times, pages, pos, hi)
+
+
+def _consume_hits(st, memory, times, pages, lo: int, hi: int) -> None:
+    """Account the read-only hit run ``times[lo:hi]`` as one segment."""
+    memory.charge_hit_run(times, pages, lo, hi)
+    st.metrics.on_hits(hi - lo)
 
 
 def _miss_runs(miss_indices: np.ndarray):
@@ -278,40 +364,8 @@ def _miss_runs(miss_indices: np.ndarray):
         yield lo, hi + 1
 
 
-def _serve_missrun_span(
-    engine, st, memory, times, pages, lo: int, hi: int, duration_s: float
-) -> None:
-    """Serve the all-miss span ``[lo, hi)``, firing events in time order.
-
-    The miss-run twin of :func:`_consume_hits`: each pending period
-    boundary (the only interior event -- miss-run eligibility excludes
-    writes) splits the span with one ``searchsorted``, the boundary-free
-    stretch batches through :func:`_serve_miss_run`, and the boundary
-    itself fires through the scalar ``_drain_events``.  An access at
-    exactly the boundary fires the boundary first (``side='left'``),
-    matching the scalar loop.
-    """
-    while lo < hi:
-        flush_at = st.next_flush if st.has_writes else math.inf
-        event_at = min(flush_at, st.next_boundary)
-        if event_at > duration_s:
-            cut = hi
-        else:
-            cut = min(max(int(np.searchsorted(times, event_at, side="left")), lo), hi)
-        if cut > lo:
-            _serve_miss_run(engine, st, memory, times, pages, lo, cut)
-            lo = cut
-        if lo < hi:
-            engine._drain_events(st, float(times[lo]))
-            flush_after = st.next_flush if st.has_writes else math.inf
-            if min(flush_after, st.next_boundary) == event_at:
-                raise SimulationError(
-                    "miss-run replay made no progress at a pending event"
-                )
-
-
 def _serve_miss_run(engine, st, memory, times, pages, lo: int, hi: int) -> None:
-    """Serve the boundary-free all-miss stretch ``[lo, hi)`` batched.
+    """Serve the event-free all-miss stretch ``[lo, hi)`` batched.
 
     Exactly what ``hi - lo`` iterations of ``charge_page_access`` +
     ``_serve_miss`` would do.  The scalar loop interleaves four objects
@@ -367,243 +421,25 @@ def _miss_run_services(service, seq: np.ndarray):
     return np.where(seq, svc_seq, svc_first).tolist()
 
 
-def replay_writes(engine, st, trace, profile: TraceProfile, duration_s: float) -> None:
-    """Drive one fixed-capacity write-carrying replay through segments.
-
-    Write-back is write-allocate: :meth:`MemorySystem.access_rw` loads
-    on every miss (read or write), so the LRU evolves exactly as in a
-    read-only replay and ``hit_mask`` classifies every access up front.
-    Hit runs go through :meth:`MemorySystem.consume_hit_run_rw`, which
-    keeps the live cache order and dirty set in step; misses, dirty
-    evictions and periodic flush sweeps run the exact scalar path.
-    """
-    times = trace.times
-    pages = trace.pages
-    writes = trace.writes
-    n = int(np.searchsorted(times, duration_s, side="left"))
-    hits = profile.hit_mask(engine.memory.capacity_pages, n)
-    miss_indices = np.flatnonzero(~hits)
-    _replay_writes_inner(
-        engine, st, engine.memory, times, pages, writes,
-        miss_indices, 0, n, duration_s,
-    )
-
-
-def _replay_writes_inner(
-    engine, st, memory, times, pages, writes, miss_indices,
-    lo: int, hi: int, duration_s: float,
-) -> None:
-    """Replay ``[lo, hi)`` of a write-carrying trace given its misses.
-
-    Shared by :func:`replay_writes` (misses from the profile's hit
-    mask) and the streaming manager (misses from the incremental
-    tracker's depth window).
-    """
-    drain = engine._drain_events
-    serve_miss = engine._serve_miss
-    flush = engine._flush
-    pos = lo
-    for m in miss_indices.tolist():
-        if pos < m:
-            _consume_hits(
-                engine, st, memory, times, pages, pos, m, duration_s,
-                writes=writes,
-            )
-        now = float(times[m])
-        page = int(pages[m])
-        is_write = bool(writes[m])
-        drain(st, now)
-        hit = memory.access_rw(now, page, is_write)
-        pending = memory.take_pending_flushes()
-        if pending:
-            st.last_flush_page = flush(now, pending, st.metrics, st.last_flush_page)
-        if is_write:
-            if hit:
-                st.metrics.on_hit(now)
-            else:
-                st.metrics.on_write(now)
-        elif hit:
-            st.metrics.on_hit(now)
-        else:
-            serve_miss(st, now, page)
-        pos = m + 1
-    if pos < hi:
-        _consume_hits(
-            engine, st, memory, times, pages, pos, hi, duration_s,
-            writes=writes,
-        )
-
-
-def replay_disable(engine, st, trace, duration_s: float) -> None:
-    """Drive one disable-model (2TDS) replay epoch by epoch, profile-free.
-
-    Mirrors :func:`replay_epoch`'s boundary walk (period closings and
-    policy callbacks must see hits attributed to the right period);
-    within an epoch, :meth:`DisableMemorySystem.consume_hit_run`
-    consumes maximal pure-hit prefixes against the live bank map and
-    every stopping access replays through the exact scalar ``access``.
-    """
-    times = trace.times
-    pages = trace.pages
-    n = int(np.searchsorted(times, duration_s, side="left"))
-    memory = engine.memory
-    drain = engine._drain_events
-    pos = 0
-    while pos < n:
-        boundary = st.next_boundary
-        if boundary > st.duration_s:
-            end = n
-        else:
-            end = min(int(np.searchsorted(times, boundary, side="left")), n)
-        if end > pos:
-            _replay_disable_span(engine, st, memory, times, pages, pos, end)
-            pos = end
-            if pos >= n:
-                break
-        drain(st, boundary)
-
-
-def _replay_disable_span(engine, st, memory, times, pages, lo: int, hi: int) -> None:
-    """Replay ``[lo, hi)`` (no interior events) via pure-hit prefixes.
-
-    Shared by :func:`replay_disable` and the streaming manager; the
-    caller guarantees no period boundary or flush falls inside the
-    span, so the interior ``drain`` calls are order-keeping no-ops.
-    """
-    drain = engine._drain_events
-    serve_miss = engine._serve_miss
-    pos = lo
-    while pos < hi:
-        stop = memory.consume_hit_run(times, pages, pos, hi)
-        if stop > pos:
-            st.metrics.on_hits(stop - pos)
-            pos = stop
-            if pos >= hi:
-                break
-        now = float(times[pos])
-        page = int(pages[pos])
-        drain(st, now)
-        if memory.access(now, page):
-            st.metrics.on_hit(now)
-        else:
-            serve_miss(st, now, page)
-        pos += 1
-
-
-def replay_epoch(engine, st, trace, profile: TraceProfile, duration_s: float) -> None:
-    """Drive one joint-manager replay epoch by epoch.
-
-    Within an epoch the capacity is fixed; every boundary fires
-    individually through ``_drain_events`` (running ``end_period`` and
-    the resize through the scalar code path), and the resident-page
-    count is re-clamped after each so the next epoch's hit
-    classification sees every intermediate resize.
-    """
-    times = trace.times
-    pages = trace.pages
-    depths = profile.depths
-    n = int(np.searchsorted(times, duration_s, side="left"))
-
-    memory = engine.memory
-    manager = engine.manager
-    drain = engine._drain_events
-
-    # The joint manager only moves the timeout at period boundaries, so
-    # every epoch-interior miss run is timeout-free and may batch
-    # through submit_run whenever the drive itself qualifies.
-    batch_misses = _batchable_disk(engine.disk)
-
-    # Invariant: the resident set is the top-`resident` pages of the
-    # full-history LRU stack, so an access hits iff 0 <= depth < resident.
-    # Holds after prefill (the warm start keeps the hottest tail -- the
-    # stack top) and is maintained below: hits reorder within the top,
-    # each miss loads at the top (growing the set until it reaches
-    # capacity), and a shrink evicts from the bottom.
-    resident = len(memory.cache)
-
-    pos = 0
-    while pos < n:
-        boundary = st.next_boundary
-        if boundary > st.duration_s:
-            end = n
-        else:
-            # An access exactly at the boundary belongs to the next
-            # epoch: the scalar loop drains events before recording it.
-            end = min(int(np.searchsorted(times, boundary, side="left")), n)
-        if end > pos:
-            resident = _replay_epoch_segment(
-                engine, st, memory, manager, times, pages, depths,
-                pos, end, duration_s, resident, batch_misses,
-            )
-            pos = end
-            if pos >= n:
-                break
-        # The next access sits at or past the boundary: fire exactly this
-        # boundary (end_period + resize + timeout through the scalar
-        # path), then observe the resize before classifying further.
-        drain(st, boundary)
-        resident = min(resident, memory.capacity_pages)
-
-
-def _replay_epoch_segment(
-    engine, st, memory, manager, times, pages, depths,
-    lo: int, hi: int, duration_s: float, resident: int,
-    batch_misses: bool = False,
-) -> int:
-    """Replay accesses ``[lo, hi)`` of one epoch; returns the new resident count."""
-    capacity = memory.capacity_pages
-    # Feed the whole epoch's per-period log in one batch.  The manager
-    # only reads it at end_period, so batching ahead of the misses is
-    # equivalent to the scalar loop's interleaved record_access calls.
-    manager.record_profiled(times[lo:hi], depths[lo:hi])
-
-    miss_indices, resident = _epoch_misses(depths, lo, hi, resident, capacity)
-
-    if batch_misses:
-        # The segment lies strictly inside one epoch, so no boundary (or
-        # flush -- epoch mode excludes writes) can interrupt a miss run:
-        # the per-miss drain calls of the scalar walk below are no-ops
-        # and each run serves in one batched pass.
-        pos = lo
-        for run_lo, run_hi in _miss_runs(miss_indices):
-            if pos < run_lo:
-                _consume_hits(
-                    engine, st, memory, times, pages, pos, run_lo, duration_s
-                )
-            _serve_miss_run(engine, st, memory, times, pages, run_lo, run_hi)
-            pos = run_hi
-        if pos < hi:
-            _consume_hits(engine, st, memory, times, pages, pos, hi, duration_s)
-        return resident
-
-    serve_miss = engine._serve_miss
-    drain = engine._drain_events
-    pos = lo
-    for m in miss_indices.tolist():
-        if pos < m:
-            _consume_hits(engine, st, memory, times, pages, pos, m, duration_s)
-        now = float(times[m])
-        page = int(pages[m])
-        drain(st, now)
-        memory.charge_page_access(now, page)
-        serve_miss(st, now, page)
-        pos = m + 1
-    if pos < hi:
-        _consume_hits(engine, st, memory, times, pages, pos, hi, duration_s)
-    return resident
-
-
 def _epoch_misses(
     depths, lo: int, hi: int, resident: int, capacity: int
 ) -> Tuple[np.ndarray, int]:
     """Miss indices within ``[lo, hi)`` at fixed ``capacity``.
 
-    Returns ``(global_miss_indices, resident_after)``.  With the cache
-    full (``resident == capacity``) the Mattson rule vectorizes
-    directly.  After an up-resize the cache is partially filled: only
-    accesses that are cold or reach at least the starting resident count
-    can miss, and each miss grows the resident set by one until it hits
-    capacity -- walk exactly those candidates, then vectorize the rest.
+    Returns ``(global_miss_indices, resident_after)``.  Invariant: the
+    resident set is the top-``resident`` pages of the full-history LRU
+    stack, so an access hits iff ``0 <= depth < resident``.  It holds
+    after prefill (the warm start keeps the hottest tail -- the stack
+    top) and is maintained here and by the boundary clamp: hits reorder
+    within the top, each miss loads at the top (growing the set until it
+    reaches capacity), and a shrink evicts from the bottom.
+
+    With the cache full (``resident == capacity``) the Mattson rule
+    vectorizes directly.  After an up-resize the cache is partially
+    filled: only accesses that are cold or reach at least the starting
+    resident count can miss, and each miss grows the resident set by one
+    until it hits capacity -- walk exactly those candidates, then
+    vectorize the rest.
     """
     window = depths[lo:hi]
     if resident >= capacity:
@@ -635,39 +471,139 @@ def _epoch_misses(
     return np.asarray(misses, dtype=np.int64) + lo, resident
 
 
-def _consume_hits(
-    engine, st, memory, times, pages, lo: int, hi: int, duration_s: float,
-    writes=None,
+def _replay_writes_span(
+    engine, st, memory, times, pages, writes, misses, lo: int, hi: int
 ) -> None:
-    """Account the hit run ``times[lo:hi]``, firing events in time order.
+    """Replay ``[lo, hi)`` of a write-carrying input given its misses.
 
-    Within the run the pending events are period boundaries and -- for
-    write-carrying replays (``writes`` given) -- periodic flush sweeps;
-    each splits the run with one ``searchsorted``, so a sweep at
-    ``flush_at`` sees exactly the dirty marks of accesses before it.
-    An access at exactly the event time fires the event first (matching
-    the scalar ``drain_events`` ordering), hence ``side='left'``.
+    Write-back is write-allocate: :meth:`MemorySystem.access_rw` loads
+    on every miss (read or write), so the depths classify every access.
+    Hit runs go through :func:`_consume_write_hits`; misses, dirty
+    evictions and periodic flush sweeps run the exact scalar path.
+    """
+    drain = engine._drain_events
+    serve_miss = engine._serve_miss
+    flush = engine._flush
+    pos = lo
+    for m in misses.tolist():
+        if pos < m:
+            _consume_write_hits(engine, st, memory, times, pages, writes, pos, m)
+        now = float(times[m])
+        page = int(pages[m])
+        is_write = bool(writes[m])
+        drain(st, now)
+        hit = memory.access_rw(now, page, is_write)
+        pending = memory.take_pending_flushes()
+        if pending:
+            st.last_flush_page = flush(now, pending, st.metrics, st.last_flush_page)
+        if is_write:
+            if hit:
+                st.metrics.on_hit(now)
+            else:
+                st.metrics.on_write(now)
+        elif hit:
+            st.metrics.on_hit(now)
+        else:
+            serve_miss(st, now, page)
+        pos = m + 1
+    if pos < hi:
+        _consume_write_hits(engine, st, memory, times, pages, writes, pos, hi)
+
+
+def _consume_write_hits(
+    engine, st, memory, times, pages, writes, lo: int, hi: int
+) -> None:
+    """Account the write-carrying hit run ``[lo, hi)``, firing flushes in order.
+
+    :meth:`MemorySystem.consume_hit_run_rw` keeps the live cache order
+    and dirty set in step.  Each pending flush sweep splits the run with
+    one ``searchsorted``, so a sweep at ``flush_at`` sees exactly the
+    dirty marks of accesses before it; an access at exactly the sweep
+    time fires the sweep first (matching the scalar ``_drain_events``
+    ordering), hence ``side='left'``.
     """
     while lo < hi:
-        flush_at = st.next_flush if st.has_writes else math.inf
-        event_at = min(flush_at, st.next_boundary)
-        if event_at > duration_s:
+        event_at = min(st.next_flush, st.next_boundary)
+        if event_at > st.duration_s:
             cut = hi
         else:
             cut = min(max(int(np.searchsorted(times, event_at, side="left")), lo), hi)
-        count = cut - lo
-        if count > 0:
-            if writes is None:
-                memory.charge_hit_run(times, pages, lo, cut)
-            else:
-                memory.consume_hit_run_rw(times, pages, writes, lo, cut)
-            st.metrics.on_hits(count)
+        if cut > lo:
+            memory.consume_hit_run_rw(times, pages, writes, lo, cut)
+            st.metrics.on_hits(cut - lo)
             lo = cut
         if lo < hi:
-            drained_until = float(times[lo])
-            engine._drain_events(st, drained_until)
-            flush_after = st.next_flush if st.has_writes else math.inf
-            if min(flush_after, st.next_boundary) == event_at:
+            engine._drain_events(st, float(times[lo]))
+            if min(st.next_flush, st.next_boundary) == event_at:
                 raise SimulationError(
-                    "vectorized replay made no progress at a pending event"
+                    "write replay made no progress at a pending event"
                 )
+
+
+def _replay_disable_span(engine, st, memory, times, pages, lo: int, hi: int) -> None:
+    """Replay ``[lo, hi)`` of a disable-model run via pure-hit prefixes.
+
+    Read-only and inside one epoch, so no event is pending before any
+    access of the span.
+    """
+    serve_miss = engine._serve_miss
+    pos = lo
+    while pos < hi:
+        stop = memory.consume_hit_run(times, pages, pos, hi)
+        if stop > pos:
+            st.metrics.on_hits(stop - pos)
+            pos = stop
+            if pos >= hi:
+                break
+        now = float(times[pos])
+        page = int(pages[pos])
+        if memory.access(now, page):
+            st.metrics.on_hit(now)
+        else:
+            serve_miss(st, now, page)
+        pos += 1
+
+
+def _replay_scalar_span(engine, st, times, pages, writes, lo: int, hi: int) -> None:
+    """The per-access reference loop over ``[lo, hi)``.
+
+    Joint write-back runs, runs without depths, and the
+    ``REPRO_KERNELS=0`` kill switch replay here.
+    """
+    memory = engine.memory
+    manager = engine.manager
+    has_writes = st.has_writes
+    drain_events = engine._drain_events
+    serve_miss = engine._serve_miss
+    # Write-free input (the common case) iterates a constant instead of
+    # materializing a [False] * n list or a tolist() copy.
+    flags = writes[lo:hi].tolist() if has_writes else itertools.repeat(False)
+
+    for now, page, is_write in zip(times[lo:hi].tolist(), pages[lo:hi].tolist(), flags):
+        drain_events(st, now)
+
+        if manager is not None:
+            manager.record_access(now, page)
+
+        if has_writes:
+            hit = memory.access_rw(now, page, is_write)
+            pending = memory.take_pending_flushes()
+            if pending:
+                st.last_flush_page = engine._flush(
+                    now, pending, st.metrics, st.last_flush_page
+                )
+            if is_write:
+                # Write-back: the cache absorbs the write (allocate
+                # without fetch on a miss) -- no disk read, no
+                # user-visible disk latency.
+                if hit:
+                    st.metrics.on_hit(now)
+                else:
+                    st.metrics.on_write(now)
+                continue
+        else:
+            hit = memory.access(now, page)
+        if hit:
+            st.metrics.on_hit(now)
+            continue
+        serve_miss(st, now, page)

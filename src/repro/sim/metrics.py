@@ -215,6 +215,11 @@ class MetricsCollector:
     # --- summary --------------------------------------------------------------------
 
     @property
+    def current_period(self) -> PeriodMetrics:
+        """The open period's record (closed into :attr:`periods` later)."""
+        return self._current
+
+    @property
     def current_period_start(self) -> float:
         return self._current.start_s
 

@@ -8,13 +8,38 @@ management.  Stored as parallel numpy arrays for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.errors import TraceError
+from repro.errors import ReproError, TraceError
 from repro.traces.zipf import MASS_FRACTION
 from repro.units import PAGE_SIZE
+
+
+def access_arrays(
+    times, pages, error: Type[ReproError] = TraceError
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``times`` and ``pages`` as contiguous float64 and int64 arrays.
+
+    Raises ``error`` naming the fault unless both are 1-D and of equal
+    length, every time is finite, and every page number is a whole,
+    non-negative number -- a float page is checked, never truncated.
+    """
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    raw = np.asarray(pages)
+    if times.ndim != 1 or raw.shape != times.shape:
+        raise error("times and pages must be 1-D arrays of equal length")
+    if not np.isfinite(times).all():
+        raise error("access times must be finite (no NaN or infinity)")
+    if raw.dtype.kind == "f" and not (
+        np.isfinite(raw).all() and (raw == np.floor(raw)).all()
+    ):
+        raise error("page numbers must be whole numbers")
+    pages = np.ascontiguousarray(raw, dtype=np.int64)
+    if np.any(pages < 0):
+        raise error("page numbers must be non-negative")
+    return times, pages
 
 
 @dataclass(frozen=True)
@@ -37,14 +62,9 @@ class Trace:
     meta: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
-        pages = np.asarray(self.pages, dtype=np.int64)
-        if times.shape != pages.shape or times.ndim != 1:
-            raise TraceError("times and pages must be 1-D arrays of equal length")
+        times, pages = access_arrays(self.times, self.pages, TraceError)
         if times.size and np.any(np.diff(times) < 0.0):
             raise TraceError("trace timestamps must be non-decreasing")
-        if np.any(pages < 0):
-            raise TraceError("page numbers must be non-negative")
         if self.page_size <= 0:
             raise TraceError("page size must be positive")
         object.__setattr__(self, "times", times)

@@ -100,6 +100,14 @@ class TestErrors:
         with pytest.raises(ServiceError):
             client.feed(sid, [2.0, 1.0], [0, 1])
 
+    def test_nan_time_feed_rejected_and_socket_usable(self, client):
+        sid = client.open_session("JOINT")
+        with pytest.raises(ServiceError, match="finite"):
+            client.feed(sid, [1.0, float("nan")], [0, 1])
+        assert client.ping() is True
+        assert client.feed(sid, [1.0, 2.0], [0, 1]) == []
+        assert client.stats(sid)["accesses_fed"] == 2
+
     def test_error_leaves_connection_usable(self, client):
         with pytest.raises(ServiceError):
             client.feed("ghost", [1.0], [0])

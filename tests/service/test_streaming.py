@@ -245,6 +245,72 @@ class TestValidation:
             StreamingManager("JOINT", fast_machine, warmup_s=42.0)
 
 
+    @pytest.mark.parametrize(
+        "times, pages",
+        [
+            ([1.0, float("nan"), 3.0], [0, 1, 2]),
+            ([1.0, float("inf")], [0, 1]),
+            ([float("-inf"), 1.0], [0, 1]),
+            ([1.0, 2.0], [0, -1]),
+            ([1.0, 2.0], [0, 1.5]),
+        ],
+        ids=["nan", "inf", "neg-inf", "negative-page", "fractional-page"],
+    )
+    def test_malformed_batch_rejected_stream_usable(
+        self, fast_machine, times, pages
+    ):
+        stream = StreamingManager("JOINT", fast_machine)
+        with pytest.raises(SimulationError):
+            stream.feed(times, pages)
+        assert stream.accesses_fed == 0
+        assert stream.pending_accesses == 0
+        stream.feed([1.0, 2.0], [0, 1])
+        assert stream.accesses_fed == 2
+
+
+def test_streaming_joint_batches_miss_runs(fast_machine, monkeypatch):
+    """stream-epoch serves miss runs through SimDisk.submit_run, exactly
+    as offline epoch replays do, and still equals the offline run."""
+    from repro.disk.drive import SimDisk
+    from repro.traces.specweb import generate_trace
+    from repro.units import GB, MB
+
+    period = fast_machine.manager.period_s
+    # A uniform scan over a data set far larger than memory: miss-heavy.
+    trace = generate_trace(
+        dataset_bytes=16 * GB,
+        data_rate=50 * MB,
+        duration_s=3 * period,
+        popularity=1.0,
+        page_size=fast_machine.page_bytes,
+        seed=11,
+        file_scale=fast_machine.scale,
+    )
+    duration = 3 * period
+    offline = run_method(
+        "JOINT", trace, fast_machine, duration_s=duration, warm_start=False
+    )
+    assert offline.replay_mode == "epoch"
+
+    calls = []
+    original = SimDisk.submit_run
+
+    def counting(self, times, services):
+        calls.append(len(times))
+        return original(self, times, services)
+
+    monkeypatch.setattr(SimDisk, "submit_run", counting)
+    rng = np.random.default_rng(5)
+    n = trace.num_accesses
+    cuts = sorted(rng.integers(0, n + 1, size=9).tolist())
+    result = stream_in_batches(
+        "JOINT", fast_machine, trace, duration, [0] + cuts + [n]
+    )
+    assert calls, "stream-epoch served every miss one at a time"
+    assert max(calls) > 1
+    assert_bit_identical(offline, result)
+
+
 def test_request_blind_method_streams_missrun(fast_machine):
     """2T/always-on tenants batch their misses; request-aware ones don't."""
     assert StreamingManager("2TNAP", fast_machine).replay_mode == (

@@ -44,6 +44,39 @@ class TestBasics:
         with pytest.raises(TraceError):
             make_trace([0.0, 1.0], [1, 2], files=np.array([1]))
 
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, float("nan"), 2.0], [0.0, float("inf")], [float("-inf"), 0.0]],
+        ids=["nan", "inf", "neg-inf"],
+    )
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(TraceError, match="finite"):
+            Trace(times=times, pages=[1] * len(times))
+
+    def test_fractional_pages_rejected_not_truncated(self):
+        with pytest.raises(TraceError, match="whole"):
+            Trace(times=[0.0, 1.0], pages=[1.0, 2.5])
+        with pytest.raises(TraceError, match="whole"):
+            Trace(times=[0.0], pages=[float("nan")])
+
+    def test_integral_float_pages_accepted(self):
+        trace = Trace(times=[0.0, 1.0], pages=np.array([3.0, 4.0]))
+        assert trace.pages.dtype == np.int64
+        assert trace.pages.tolist() == [3, 4]
+
+    def test_nan_time_fails_before_any_run(self, machine):
+        """A NaN time used to replay as a partial run whose audit passed
+        (``total_accesses=1`` of 3); it now fails at construction."""
+        from repro.sim.runner import run_method
+
+        with pytest.raises(TraceError, match="finite"):
+            run_method(
+                "2TNAP",
+                Trace(times=[0.0, float("nan"), 2.0], pages=[1, 2, 3]),
+                machine,
+                audit=True,
+            )
+
     def test_files_alignment(self):
         trace = make_trace([0.0, 1.0], [1, 2], files=np.array([0, 0]))
         assert trace.files is not None
